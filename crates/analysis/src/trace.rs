@@ -51,7 +51,7 @@ pub struct Replay {
     pub mesh_msgs: u64,
     /// Fires per timing class.
     pub class_fires: [u64; 4],
-    /// Semantic fast-forward / compile decline bitmask, reconstructed
+    /// Semantic fast-forward / memo decline bitmask, reconstructed
     /// from the recorded `Warn` events (bit `1 << code`) — mirrors
     /// `ExecReport::declined`.
     pub declined: u8,
@@ -442,9 +442,9 @@ pub fn chrome_trace_json(runs: &[(&str, &[TraceEvent])]) -> String {
                     let why = match ev.arg {
                         WARN_FF_NET_ORDER => "fast-forward disabled: net not order-free",
                         WARN_FF_GPP => "fast-forward disabled: non-stub GPP",
-                        WARN_COMPILE_NET_ORDER => "compile declined: net not order-free",
-                        WARN_COMPILE_GPP => "compile declined: non-stub GPP",
-                        WARN_COMPILE_DATA_MODE => "compile declined: data-driven branches",
+                        WARN_COMPILE_NET_ORDER => "memo declined: net not order-free",
+                        WARN_COMPILE_GPP => "memo declined: non-stub GPP",
+                        WARN_COMPILE_DATA_MODE => "memo declined: data-driven branches",
                         _ => "warning",
                     };
                     emits.push(TraceSpan {

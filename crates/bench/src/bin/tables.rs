@@ -143,11 +143,11 @@ fn bench_eval(synthetic: usize, threads: usize) {
 
 /// Times the event kernel itself: a serial sweep (wall time, scheduler
 /// events processed, heap allocations), a parallel sweep, and the
-/// block-compiled backend (one cold sweep that records the AOT schedules
-/// through a [`PreparedPopulation`], then a warm sweep that only replays
-/// them), checks all of them produce identical reports, and records the
-/// numbers — plus the pre-timing-wheel baseline for comparison — in
-/// `BENCH_kernel.json`.
+/// report memo (one cold sweep through a [`PreparedPopulation`] that
+/// walks every run and stores its report, then a warm sweep served from
+/// the stored reports), checks all of them produce identical reports,
+/// and records the numbers — plus the pre-timing-wheel baseline for
+/// comparison — in `BENCH_kernel.json`.
 fn bench_kernel(synthetic: usize, threads: usize) {
     // serial_secs of the committed BENCH_kernel.json the fast-forward work
     // was measured against (synthetic 1500 on the timing-wheel kernel,
@@ -172,11 +172,11 @@ fn bench_kernel(synthetic: usize, threads: usize) {
     let identical = format!("{:?}", serial.samples) == format!("{:?}", parallel.samples)
         && format!("{:?}", serial.statics) == format!("{:?}", parallel.statics);
 
-    // Compiled backend, measured the way a resident process runs it: the
-    // PreparedPopulation holds the schedule caches, the first sweep
-    // records (cold), every later sweep replays (warm). Serial, like the
-    // interpreted reference, so events/s compares kernel to kernel.
-    eprintln!("preparing the population for the compiled backend …");
+    // Report memo, measured the way a resident process runs it: the
+    // PreparedPopulation holds the memos, the first sweep walks and
+    // stores every report (cold), every later sweep is served from them
+    // (warm). Serial, like the interpreted reference.
+    eprintln!("preparing the population for the report memo …");
     let pop = PreparedPopulation::prepare(synthetic, threads);
     let compiled_cfg = EvalConfig {
         synthetic_count: synthetic,
@@ -184,12 +184,12 @@ fn bench_kernel(synthetic: usize, threads: usize) {
         compiled: true,
         ..EvalConfig::default()
     };
-    eprintln!("compiled cold sweep (recording AOT schedules) …");
+    eprintln!("compiled cold sweep (walking and memoising reports) …");
     let t3 = Instant::now();
     let cold = pop.evaluate(&compiled_cfg);
     let compiled_cold_secs = t3.elapsed().as_secs_f64();
     eprintln!("compiled cold sweep: {compiled_cold_secs:.2}s");
-    eprintln!("compiled warm sweep (replaying AOT schedules) …");
+    eprintln!("compiled warm sweep (serving memoised reports) …");
     let t4 = Instant::now();
     let warm = pop.evaluate(&compiled_cfg);
     let compiled_warm_secs = t4.elapsed().as_secs_f64();
@@ -209,12 +209,12 @@ fn bench_kernel(synthetic: usize, threads: usize) {
         0.0
     };
 
-    // Warm replays process the same reports without popping events, so
-    // the compiled rate is the same event total over the replay time.
+    // Warm memo hits return the same reports without popping events, so
+    // the compiled rate is the same event total over the warm time.
     let compiled_events_per_sec = events as f64 / compiled_warm_secs.max(1e-9);
     let compiled_speedup = serial_secs / compiled_warm_secs.max(1e-9);
-    // Sweeps until the compiled backend's total time (one cold recording
-    // plus warm replays) beats the interpreted kernel: the cold overhead
+    // Sweeps until the memo's total time (one cold sweep plus warm
+    // sweeps) beats the interpreted kernel: the cold overhead
     // divided by the per-sweep saving. 0 = ahead from the first sweep.
     let compiled_amortize_sweeps = if compiled_cold_secs <= serial_secs {
         0.0

@@ -46,12 +46,13 @@ pub struct EvalConfig {
     /// report-invariant (order-free net models, stub GPP), so turning it
     /// off trades speed for a naive walk of the identical event stream.
     pub fast_forward: bool,
-    /// Block-compiled execution (`ExecParams::compiled`). Off by default:
-    /// a one-shot sweep runs every (method, config, script) key exactly
-    /// once, so recording a schedule that is never replayed is pure
-    /// overhead. Resident processes (`core::service`, the server) that
-    /// re-run sweeps against cached [`javaflow_fabric::PreparedMethod`]s
-    /// opt in and amortize the one recording run across every replay.
+    /// Report-memo execution (`ExecParams::compiled`). Off by default: a
+    /// one-shot sweep runs every (method, config, script) key exactly
+    /// once, so storing reports that are never looked up again only
+    /// holds memory. Resident processes (`core::service`, the server)
+    /// that re-run sweeps against cached
+    /// [`javaflow_fabric::PreparedMethod`]s opt in, and every sweep after
+    /// the first returns stored reports instead of simulating.
     pub compiled: bool,
 }
 

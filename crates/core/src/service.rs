@@ -37,9 +37,9 @@ struct PreparedParts {
     resolved: Arc<Resolved>,
     graph: Arc<DataflowGraph>,
     decoded: Arc<DecodedMethod>,
-    /// Block-schedule cache shared across sweeps: a compiled sweep's
-    /// first visit to a (config, script) key records the schedule, every
-    /// later sweep replays it.
+    /// Report memo shared across sweeps: a compiled sweep's first visit
+    /// to a (config, script) key walks the run and stores its report,
+    /// every later sweep returns the stored report.
     compiled: Arc<CompiledCache>,
 }
 

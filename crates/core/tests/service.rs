@@ -13,21 +13,29 @@ fn prepared_population_matches_evaluation_run() {
     let cfg = cfg(10);
     let direct = Evaluation::run(&cfg);
     let pop = PreparedPopulation::prepare(cfg.synthetic_count, cfg.threads);
-    let served = pop.evaluate(&cfg);
-
-    // Debug-string comparison: NaN-valued returns (legitimate in scripted
-    // float kernels) are bitwise-identical but `!=` under IEEE 754.
-    assert_eq!(
-        format!("{:?}", direct.samples),
-        format!("{:?}", served.samples),
-        "cached-prepare sweep diverged from Evaluation::run"
-    );
-    assert_eq!(format!("{:?}", direct.statics), format!("{:?}", served.statics));
-    assert_eq!(
-        direct.records.iter().map(|r| &r.name).collect::<Vec<_>>(),
-        served.records.iter().map(|r| &r.name).collect::<Vec<_>>(),
-    );
-    assert_eq!(direct.configs.len(), served.configs.len());
+    // The compiled sweeps run against the same population: the first
+    // fills the report memo held in its persisted prepared parts, the
+    // second is served from it.
+    let compiled = EvalConfig { compiled: true, ..cfg.clone() };
+    for (what, served) in [
+        ("cached-prepare sweep", pop.evaluate(&cfg)),
+        ("cold compiled sweep", pop.evaluate(&compiled)),
+        ("warm compiled sweep", pop.evaluate(&compiled)),
+    ] {
+        // Debug-string comparison: NaN-valued returns (legitimate in scripted
+        // float kernels) are bitwise-identical but `!=` under IEEE 754.
+        assert_eq!(
+            format!("{:?}", direct.samples),
+            format!("{:?}", served.samples),
+            "{what} diverged from Evaluation::run"
+        );
+        assert_eq!(format!("{:?}", direct.statics), format!("{:?}", served.statics));
+        assert_eq!(
+            direct.records.iter().map(|r| &r.name).collect::<Vec<_>>(),
+            served.records.iter().map(|r| &r.name).collect::<Vec<_>>(),
+        );
+        assert_eq!(direct.configs.len(), served.configs.len());
+    }
 }
 
 #[test]

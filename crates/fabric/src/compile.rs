@@ -1,137 +1,49 @@
-//! Block compilation: ahead-of-time schedules for the dataflow walk.
+//! The report memo behind [`crate::ExecParams::compiled`].
 //!
-//! Scripted runs (`BranchMode::Bp1`/`Bp2` with the stub GPP) have a
-//! property the fast-forward pass only exploits hop-by-hop: the *entire*
-//! timing and control flow of a run is independent of the argument
-//! values. Branch decisions come from the oracle scripts, lenient
-//! evaluation never raises, and the stub GPP serves every request with a
-//! constant-latency dummy — so two runs of the same `(method,
-//! configuration, branch script, budget, args)` tuple are identical
-//! event for event.
+//! Scripted runs (`BranchMode::Bp1`/`Bp2` with the stub GPP on the ideal
+//! interconnect) are pure functions of their inputs: branch decisions
+//! come from the oracle scripts, lenient evaluation never raises, the
+//! stub GPP serves every request with a constant-latency dummy, and the
+//! ideal net charges closed-form delays. Two runs with the same
+//! `(configuration, branch script, budget, fast-forward flag, args)` on
+//! the same routing graph are therefore identical counter for counter.
 //!
-//! The compiler turns that property into an executable artifact. One
-//! instrumented fast-forward run records, per *basic block* (the bundle
-//! passes delimited by backward-jump re-injections), the dynamic firing
-//! order and the closed-form accumulation of every delay and counter the
-//! run books — then deduplicates repeated block instances (loop
-//! iterations with the same schedule collapse onto one block) and
-//! run-length-encodes the block trace, which is exactly the
-//! branch-outcome table the oracle produced. Replaying a
-//! [`CompiledMethod`] walks whole blocks per step instead of popping
-//! events: each schedule entry adds its block's precomputed offsets
-//! (ticks, messages, fires per timing class, busy-time accumulators)
-//! scaled by the repeat count, and marks the block's firing order in the
-//! coverage slab. The result is bit-identical to the interpreted walk it
-//! was recorded from — the differential suite in
-//! `crates/fabric/tests/ff_differential.rs` pins compiled vs.
-//! fast-forward vs. naive three ways.
+//! [`CompiledCache`] exploits exactly that: the first eligible run per
+//! key walks the ordinary event loop and stores its [`ExecReport`]; every
+//! later run with the same key returns a clone of the stored report
+//! without simulating. The memo is exact by construction — there is no
+//! second execution model to keep in sync with the walk — and the
+//! differential suite in `crates/fabric/tests/ff_differential.rs` pins
+//! memo vs. fast-forward vs. naive three ways.
 //!
 //! Eligibility mirrors [`crate::ExecParams::fast_forward`] and adds the
 //! scripted-mode requirement: an order-free interconnect
 //! ([`crate::NetKind::Ideal`]), the stub GPP, a scripted branch mode, and
-//! no active trace sink. Ineligible requests fall back to the
-//! interpreted walk, and an active sink gets a [`crate::TraceKind::Warn`]
-//! event naming the reason (`WARN_COMPILE_*` — see [`crate::trace`]).
+//! no active trace sink. Ineligible requests run the ordinary walk, and
+//! an active sink gets a [`crate::TraceKind::Warn`] event naming the
+//! reason (`WARN_COMPILE_*` — see [`crate::trace`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use javaflow_bytecode::Value;
 
-use crate::{BranchMode, FabricConfig, Outcome};
+use crate::{BranchMode, ExecReport, FabricConfig};
 
-/// One compiled basic block: the counter and delay offsets one bundle
-/// pass over the block accumulates, plus its dynamic firing order.
-///
-/// Every field is a *delta* against the state at block entry, so a
-/// schedule entry replays as `total += block * count` — the closed-form
-/// fold of what the event loop would have booked one pop at a time.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct Block {
-    /// Serial ticks this block spans.
-    pub(crate) ticks: u64,
-    /// Scheduler events the recorded walk popped.
-    pub(crate) events: u64,
-    /// Deliveries the recorded walk fast-forwarded over.
-    pub(crate) events_skipped: u64,
-    /// Instructions fired.
-    pub(crate) executed: u64,
-    /// Relay firings.
-    pub(crate) relay_fires: u64,
-    /// Serial messages sent.
-    pub(crate) serial_msgs: u64,
-    /// Mesh messages sent.
-    pub(crate) mesh_msgs: u64,
-    /// Timing-wheel pushes.
-    pub(crate) wheel_pushes: u64,
-    /// Ticks with ≥ 1 instruction executing.
-    pub(crate) acc_ge1: u64,
-    /// Ticks with ≥ 2 instructions executing.
-    pub(crate) acc_ge2: u64,
-    /// Fires per timing class (Table 17).
-    pub(crate) class_fires: [u64; 4],
-    /// The block's firing order: instruction addresses in dynamic fire
-    /// order (replay marks these in the coverage slab).
-    pub(crate) fired: Vec<u32>,
-}
-
-/// A method lowered into block schedules for one `(configuration, branch
-/// script, budget, fast-forward flag, args)` tuple.
-///
-/// Produced by the instrumented recording run the first time an eligible
-/// execution misses the [`CompiledCache`]; replayed (allocation-free) by
-/// every later execution with the same key. See the module docs for the
-/// layout.
-#[derive(Debug)]
-pub struct CompiledMethod {
-    /// Deduplicated blocks, indexed by the schedule entries.
-    pub(crate) blocks: Vec<Block>,
-    /// Run-length-encoded block trace: `(block index, repeat count)` in
-    /// execution order — the resolved branch-outcome table.
-    pub(crate) schedule: Vec<(u32, u32)>,
-    /// How the recorded run ended (exact for the keyed `args`; scripted
-    /// stub runs can only return, time out, or deadlock).
-    pub(crate) outcome: Outcome,
-    /// Timing-wheel high-water mark of the recorded run (a maximum, not
-    /// an additive counter, so it is carried whole).
-    pub(crate) wheel_high_water: u64,
-    /// Coverage denominator: active static nodes of the routing graph.
-    pub(crate) active_static: usize,
-    /// Serial ticks per mesh cycle under the compiled configuration.
-    pub(crate) mesh_ticks: u64,
-}
-
-impl CompiledMethod {
-    /// Number of deduplicated blocks in the artifact.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Total block instances the schedule replays (loop iterations
-    /// included) — `≥ block_count()` whenever deduplication collapsed
-    /// repeated iterations.
-    #[must_use]
-    pub fn schedule_instances(&self) -> u64 {
-        self.schedule.iter().map(|&(_, n)| u64::from(n)).sum()
-    }
-}
-
-/// The per-method artifact cache, shared through [`crate::PreparedMethod`]
+/// The per-method report memo, shared through [`crate::PreparedMethod`]
 /// exactly like the decoded dispatch tables: one `Arc` serves every
-/// placement, sweep, and server request over the method. Entries are
-/// keyed by everything that shapes the recorded schedule; the handful of
+/// placement, sweep, and server request over the method. The handful of
 /// live keys (six configurations × two branch scripts in a sweep) makes
 /// a linear scan cheaper than hashing the configuration.
 #[derive(Debug, Default)]
 pub struct CompiledCache {
-    entries: Mutex<Vec<(CompileKey, Arc<CompiledMethod>)>>,
+    entries: Mutex<Vec<(CompileKey, ExecReport)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Everything a recorded schedule depends on.
+/// Everything a scripted run's report depends on, besides the routing
+/// graph (which `LoadedMethod::graph_mut` guards by detaching the cache).
 #[derive(Debug)]
 struct CompileKey {
     config: FabricConfig,
@@ -148,31 +60,33 @@ impl CompiledCache {
         CompiledCache::default()
     }
 
-    /// Cached artifacts.
+    /// Memoised reports.
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.lock().map_or(0, |e| e.len())
     }
 
-    /// Whether no artifact has been compiled yet.
+    /// Whether no report has been memoised yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Lookups that found an artifact (replays).
+    /// Lookups that found a stored report.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits.load(Relaxed)
     }
 
-    /// Lookups that missed and triggered a recording run.
+    /// Lookups that missed and ran the walk.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Relaxed)
     }
 
-    /// Finds the artifact for a key, counting the probe as a hit or miss.
+    /// Returns a clone of the stored report for a key, counting the probe
+    /// as a hit or miss. Scripted ideal-net reports carry no heap data
+    /// (no exception, no net report), so a hit does not allocate.
     pub(crate) fn lookup(
         &self,
         config: &FabricConfig,
@@ -180,7 +94,7 @@ impl CompiledCache {
         max_mesh_cycles: u64,
         fast_forward: bool,
         args: &[Value],
-    ) -> Option<Arc<CompiledMethod>> {
+    ) -> Option<ExecReport> {
         let entries = self.entries.lock().expect("compile cache lock");
         let found = entries.iter().find(|(k, _)| {
             k.mode == mode
@@ -190,9 +104,9 @@ impl CompiledCache {
                 && k.args == args
         });
         match found {
-            Some((_, cm)) => {
+            Some((_, report)) => {
                 self.hits.fetch_add(1, Relaxed);
-                Some(Arc::clone(cm))
+                Some(report.clone())
             }
             None => {
                 self.misses.fetch_add(1, Relaxed);
@@ -201,196 +115,19 @@ impl CompiledCache {
         }
     }
 
-    /// Inserts a freshly recorded artifact. Racing recorders of the same
-    /// key both insert; the schedules are identical by determinism, so
-    /// whichever the next lookup finds first is correct.
+    /// Stores a freshly walked report. Racing misses of the same key both
+    /// insert; the reports are identical by determinism, so whichever the
+    /// next lookup finds first is correct.
     pub(crate) fn insert(
         &self,
         config: &FabricConfig,
         mode: BranchMode,
         max_mesh_cycles: u64,
         fast_forward: bool,
-        args: &[Value],
-        cm: Arc<CompiledMethod>,
+        args: Vec<Value>,
+        report: ExecReport,
     ) {
-        let key = CompileKey {
-            config: config.clone(),
-            mode,
-            max_mesh_cycles,
-            fast_forward,
-            args: args.to_vec(),
-        };
-        self.entries.lock().expect("compile cache lock").push((key, cm));
-    }
-}
-
-/// A cumulative-counter snapshot of the engine, taken at block
-/// boundaries; consecutive snapshots difference into one [`Block`].
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Snapshot {
-    pub(crate) now: u64,
-    pub(crate) events: u64,
-    pub(crate) events_skipped: u64,
-    pub(crate) executed: u64,
-    pub(crate) relay_fires: u64,
-    pub(crate) serial_msgs: u64,
-    pub(crate) mesh_msgs: u64,
-    pub(crate) wheel_pushes: u64,
-    pub(crate) acc_ge1: u64,
-    pub(crate) acc_ge2: u64,
-    pub(crate) class_fires: [u64; 4],
-}
-
-/// Rides one instrumented run and assembles the [`CompiledMethod`].
-///
-/// The engine reports three things: every fire (in dispatch order), every
-/// backward-jump re-injection (a block boundary), and the end of the run.
-/// The recorder differences counter snapshots into blocks, deduplicates
-/// them by content, and run-length-encodes the trace.
-#[derive(Debug)]
-pub(crate) struct BlockRecorder {
-    start: Snapshot,
-    fired: Vec<u32>,
-    blocks: Vec<Block>,
-    schedule: Vec<(u32, u32)>,
-    /// Content hash → candidate block indices (compile-time only; replay
-    /// never touches it).
-    index: HashMap<u64, Vec<u32>>,
-}
-
-impl BlockRecorder {
-    pub(crate) fn new() -> BlockRecorder {
-        BlockRecorder {
-            start: Snapshot::default(),
-            fired: Vec::new(),
-            blocks: Vec::new(),
-            schedule: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
-
-    /// A node fired (in dispatch order within the current block).
-    pub(crate) fn on_fire(&mut self, node: u32) {
-        self.fired.push(node);
-    }
-
-    /// Closes the current block at `snap` (a backward-jump re-injection,
-    /// or the end of the run).
-    pub(crate) fn boundary(&mut self, snap: Snapshot) {
-        let s = &self.start;
-        let block = Block {
-            ticks: snap.now - s.now,
-            events: snap.events - s.events,
-            events_skipped: snap.events_skipped - s.events_skipped,
-            executed: snap.executed - s.executed,
-            relay_fires: snap.relay_fires - s.relay_fires,
-            serial_msgs: snap.serial_msgs - s.serial_msgs,
-            mesh_msgs: snap.mesh_msgs - s.mesh_msgs,
-            wheel_pushes: snap.wheel_pushes - s.wheel_pushes,
-            acc_ge1: snap.acc_ge1 - s.acc_ge1,
-            acc_ge2: snap.acc_ge2 - s.acc_ge2,
-            class_fires: std::array::from_fn(|k| snap.class_fires[k] - s.class_fires[k]),
-            fired: std::mem::take(&mut self.fired),
-        };
-        self.start = snap;
-        let id = self.intern(block);
-        match self.schedule.last_mut() {
-            Some((last, count)) if *last == id && *count < u32::MAX => *count += 1,
-            _ => self.schedule.push((id, 1)),
-        }
-    }
-
-    /// Deduplicates a block by content, returning its index.
-    fn intern(&mut self, block: Block) -> u32 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        block.hash(&mut h);
-        let candidates = self.index.entry(h.finish()).or_default();
-        for &c in candidates.iter() {
-            if self.blocks[c as usize] == block {
-                return c;
-            }
-        }
-        let id = self.blocks.len() as u32;
-        candidates.push(id);
-        self.blocks.push(block);
-        id
-    }
-
-    /// Seals the recording into an artifact. The engine has already
-    /// closed the final block (it snapshots right before building its
-    /// report); the terminal fields come from that report.
-    pub(crate) fn finish_from_report(
-        self,
-        report: &crate::ExecReport,
-        active_static: usize,
-        mesh_ticks: u64,
-    ) -> CompiledMethod {
-        CompiledMethod {
-            blocks: self.blocks,
-            schedule: self.schedule,
-            outcome: report.outcome.clone(),
-            wheel_high_water: report.wheel_high_water,
-            active_static,
-            mesh_ticks,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn template() -> crate::ExecReport {
-        crate::ExecReport {
-            outcome: Outcome::Deadlock,
-            mesh_cycles: 1,
-            executed: 0,
-            relay_fires: 0,
-            static_covered: 0,
-            coverage: 0.0,
-            ipc: 0.0,
-            frac_cycles_ge2: 0.0,
-            frac_cycles_ge1: 0.0,
-            serial_msgs: 0,
-            mesh_msgs: 0,
-            events: 0,
-            events_skipped: 0,
-            class_fires: [0; 4],
-            wheel_high_water: 4,
-            wheel_pushes: 0,
-            declined: 0,
-            net: None,
-        }
-    }
-
-    #[test]
-    fn identical_blocks_dedup_and_rle() {
-        let mut r = BlockRecorder::new();
-        // Three identical loop iterations: 10 ticks each, firing node 3.
-        for i in 1..=3u64 {
-            r.on_fire(3);
-            r.boundary(Snapshot { now: 10 * i, ..Snapshot::default() });
-        }
-        // A distinct terminal block.
-        r.on_fire(7);
-        r.boundary(Snapshot { now: 35, ..Snapshot::default() });
-        let cm = r.finish_from_report(&template(), 8, 5);
-        assert_eq!(cm.block_count(), 2, "loop iterations must collapse onto one block");
-        assert_eq!(cm.schedule, vec![(0, 3), (1, 1)]);
-        assert_eq!(cm.schedule_instances(), 4);
-    }
-
-    #[test]
-    fn distinct_blocks_keep_distinct_ids() {
-        let mut r = BlockRecorder::new();
-        r.on_fire(1);
-        r.boundary(Snapshot { now: 10, ..Snapshot::default() });
-        r.on_fire(2); // different firing order → different block
-        r.boundary(Snapshot { now: 20, ..Snapshot::default() });
-        let cm = r.finish_from_report(&template(), 1, 5);
-        assert_eq!(cm.block_count(), 2);
-        assert_eq!(cm.schedule_instances(), 2);
-        assert_eq!(cm.schedule, vec![(0, 1), (1, 1)]);
+        let key = CompileKey { config: config.clone(), mode, max_mesh_cycles, fast_forward, args };
+        self.entries.lock().expect("compile cache lock").push((key, report));
     }
 }

@@ -63,7 +63,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use branch::{BranchMode, BranchOracle};
-pub use compile::{CompiledCache, CompiledMethod};
+pub use compile::CompiledCache;
 pub use config::{ConfigError, FabricConfig, Layout, HETERO_PATTERN};
 pub use enhance::{DataflowGraph, Relay};
 pub use manager::{AnchorId, FabricManager, ManageError};

@@ -243,7 +243,7 @@ impl MetricsRegistry {
             Outcome::Exception(_) => "runs_exception",
         };
         self.add(outcome, 1);
-        // Semantic fast-forward / compile declines, visible without an
+        // Semantic fast-forward / memo declines, visible without an
         // active trace sink (satellite of the observability PR).
         for (code, name) in crate::trace::WARN_COUNTERS {
             if r.declined & (1 << code) != 0 {

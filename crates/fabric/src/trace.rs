@@ -41,19 +41,19 @@ pub const WARN_FF_NET_ORDER: u32 = 1;
 /// requested but auto-disabled because a non-stub GPP is attached (the
 /// interpreter's heap observes same-tick service order).
 pub const WARN_FF_GPP: u32 = 2;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` was
-/// requested but declined because the interconnect model books link/ring
-/// state in arrival order (`NetModel::ORDER_FREE` is false), so a
-/// recorded schedule would not be tick-exact.
+/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` (the
+/// report memo) was requested but declined because the interconnect
+/// model books link/ring state in arrival order (`NetModel::ORDER_FREE`
+/// is false), so the report is not a pure function of the memo key.
 pub const WARN_COMPILE_NET_ORDER: u32 = 3;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` was
-/// requested but declined because a non-stub GPP is attached — real
-/// heap/interpreter state makes timing value-dependent.
+/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` (the
+/// report memo) was requested but declined because a non-stub GPP is
+/// attached — real heap/interpreter state makes timing value-dependent.
 pub const WARN_COMPILE_GPP: u32 = 4;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` was
-/// requested but declined because the run uses data-driven branches
-/// (`BranchMode::Data`); only the scripted oracle modes make control
-/// flow independent of argument values.
+/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` (the
+/// report memo) was requested but declined because the run uses
+/// data-driven branches (`BranchMode::Data`); only the scripted oracle
+/// modes make control flow independent of argument values.
 pub const WARN_COMPILE_DATA_MODE: u32 = 5;
 
 /// Every warn code paired with the `MetricsRegistry` counter name it is
@@ -290,11 +290,11 @@ impl TraceSink for StderrSink {
                     WARN_FF_NET_ORDER => ("fast-forward", "interconnect model is not order-free"),
                     WARN_FF_GPP => ("fast-forward", "a non-stub GPP is attached"),
                     WARN_COMPILE_NET_ORDER => {
-                        ("block compilation", "interconnect model is not order-free")
+                        ("report memo", "interconnect model is not order-free")
                     }
-                    WARN_COMPILE_GPP => ("block compilation", "a non-stub GPP is attached"),
+                    WARN_COMPILE_GPP => ("report memo", "a non-stub GPP is attached"),
                     WARN_COMPILE_DATA_MODE => {
-                        ("block compilation", "branches are data-driven, not scripted")
+                        ("report memo", "branches are data-driven, not scripted")
                     }
                     _ => ("fast-forward", "unknown reason"),
                 };

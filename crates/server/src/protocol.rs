@@ -143,9 +143,10 @@ pub struct SweepRequest {
     pub threads: Option<usize>,
     /// Token-walk fast-forwarding.
     pub fast_forward: bool,
-    /// Block-compiled execution: replay cached AOT schedules where
-    /// eligible. Part of the coalescing key — compiled and interpreted
-    /// sweeps never share a run.
+    /// Serve eligible runs from the per-method report memo
+    /// (`ExecParams::compiled`): a repeated sweep returns stored reports
+    /// instead of re-simulating. Part of the coalescing key — compiled
+    /// and interpreted sweeps never share a run.
     pub compiled: bool,
     /// Chapter 7 tables to render into the final `done` frame.
     pub tables: Vec<u32>,

@@ -113,7 +113,7 @@ pub(crate) struct SweepKey {
     pub(crate) max_mesh_cycles: u64,
     pub(crate) net_contended: bool,
     pub(crate) fast_forward: bool,
-    /// Execution backend: block-compiled replay vs the interpreted walk.
+    /// Execution backend: the report memo vs the interpreted walk.
     /// Reports are bit-identical either way, but the backend is part of
     /// the contract a subscriber asked for — compiled and interpreted
     /// sweeps never coalesce onto one shared run.

@@ -68,7 +68,7 @@ pub struct RequestSpan {
     pub net_contended: bool,
     /// Sweep key: token-walk fast-forwarding.
     pub fast_forward: bool,
-    /// Sweep key: block-compiled execution.
+    /// Sweep key: report-memo execution (`ExecParams::compiled`).
     pub compiled: bool,
 }
 

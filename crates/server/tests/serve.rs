@@ -42,19 +42,30 @@ fn served_sweep_is_byte_identical_to_in_process() {
     let batches = expected_batch_payloads(&eval, 2);
 
     let mut conn = connect(&server);
-    send(
-        &mut conn,
-        "{\"kind\": \"sweep\", \"id\": 42, \"synthetic\": 4, \
-         \"max_mesh_cycles\": 150000, \"tables\": [22, 30]}",
-    );
-    let first = recv(&mut conn).expect("accepted");
-    assert!(first.starts_with("{\"type\": \"accepted\", \"id\": 42"), "{first}");
-    for (seq, (lo, payload)) in batches.iter().enumerate() {
-        let frame = recv(&mut conn).expect("batch");
-        assert_eq!(frame, batch_frame(42, seq, *lo, payload), "batch {seq} diverged");
+    // The interpreted sweep, then the same sweep served from the report
+    // memo twice (cold, then warm from the server's cached population):
+    // every frame must match the interpreted in-process run.
+    for (id, compiled) in [(42, false), (43, true), (44, true)] {
+        send(
+            &mut conn,
+            &format!(
+                "{{\"kind\": \"sweep\", \"id\": {id}, \"synthetic\": 4, \
+                 \"max_mesh_cycles\": 150000, \"compiled\": {compiled}, \"tables\": [22, 30]}}"
+            ),
+        );
+        let first = recv(&mut conn).expect("accepted");
+        assert!(first.starts_with(&format!("{{\"type\": \"accepted\", \"id\": {id}")), "{first}");
+        for (seq, (lo, payload)) in batches.iter().enumerate() {
+            let frame = recv(&mut conn).expect("batch");
+            assert_eq!(
+                frame,
+                batch_frame(id, seq, *lo, payload),
+                "batch {seq} diverged (compiled={compiled})"
+            );
+        }
+        let done = recv(&mut conn).expect("done");
+        assert_eq!(done, done_frame(id, &eval, false, &[22, 30]), "compiled={compiled}");
     }
-    let done = recv(&mut conn).expect("done");
-    assert_eq!(done, done_frame(42, &eval, false, &[22, 30]));
 
     server.request_shutdown();
     server.join().expect("join");

@@ -6,6 +6,12 @@ set -eu
 cargo build --release --workspace
 cargo test -q
 
+# Member suites whose assertions hold on any host (no wall-clock
+# conditions): the goldens, the naive/fast-forward/memo differential, the
+# zero-allocation checks, and the trace-replay tests. Debug and release.
+cargo test -q -p javaflow-fabric -p javaflow-analysis -p javaflow-bench
+cargo test -q --release -p javaflow-fabric -p javaflow-analysis -p javaflow-bench
+
 cargo run --release -p javaflow-bench --bin tables -- --synthetic 50 --table 22
 
 echo "tier1: OK"
