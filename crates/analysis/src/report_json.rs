@@ -43,33 +43,34 @@ pub fn f64_json(v: f64) -> String {
     }
 }
 
-/// One worker's scheduling telemetry, decoupled from the sweep scheduler
-/// so this crate (which `core` depends on) can render it. `core` adapts
-/// its `WorkerStats` into this via `SweepStats::utilization()`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerUtilization {
+/// One worker's share of a sweep, as measured by the sweep scheduler
+/// (`core::parallel`, which re-exports it) and rendered by
+/// [`utilization_json`]. Defined here because `core` depends on this
+/// crate, not the other way round.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WorkerStats {
     /// Records this worker executed.
     pub records_done: u64,
-    /// Wall time spent inside the per-record closure.
+    /// Wall time spent inside the per-record closure (excludes claim and
+    /// idle time).
     pub busy_secs: f64,
-    /// Batches claimed from the shared queue.
-    pub batches: u64,
-    /// Batches stolen from other workers' in-progress ranges.
+    /// Always 0: the scheduler has one shared claim cursor and nothing to
+    /// steal. Kept only because the benchmark's traced pipeline reads it.
     pub steals: u64,
 }
 
 /// Renders scheduling telemetry as the `"utilization"` array of the
-/// `BENCH_*.json` artifacts: per-worker records/busy-time/batch/steal
-/// counts. The layout is load-bearing — CI greps these keys.
-pub fn utilization_json(workers: &[WorkerUtilization]) -> String {
+/// `BENCH_*.json` artifacts: per-worker record counts and busy time. The
+/// layout is load-bearing — CI greps these keys.
+pub fn utilization_json(workers: &[WorkerStats]) -> String {
     let mut out = String::from("[");
     for (i, w) in workers.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str(&format!(
-            "{{\"worker\": {i}, \"records_done\": {}, \"busy_secs\": {:.3}, \"batches\": {}, \"steals\": {}}}",
-            w.records_done, w.busy_secs, w.batches, w.steals,
+            "{{\"worker\": {i}, \"records_done\": {}, \"busy_secs\": {:.3}}}",
+            w.records_done, w.busy_secs,
         ));
     }
     out.push(']');
@@ -175,13 +176,13 @@ mod tests {
     #[test]
     fn utilization_layout_matches_the_bench_artifacts() {
         let workers = [
-            WorkerUtilization { records_done: 7, busy_secs: 0.1234, batches: 3, steals: 1 },
-            WorkerUtilization { records_done: 5, busy_secs: 0.1, batches: 2, steals: 0 },
+            WorkerStats { records_done: 7, busy_secs: 0.1234, steals: 0 },
+            WorkerStats { records_done: 5, busy_secs: 0.1, steals: 0 },
         ];
         assert_eq!(
             utilization_json(&workers),
-            "[{\"worker\": 0, \"records_done\": 7, \"busy_secs\": 0.123, \"batches\": 3, \"steals\": 1}, \
-             {\"worker\": 1, \"records_done\": 5, \"busy_secs\": 0.100, \"batches\": 2, \"steals\": 0}]"
+            "[{\"worker\": 0, \"records_done\": 7, \"busy_secs\": 0.123}, \
+             {\"worker\": 1, \"records_done\": 5, \"busy_secs\": 0.100}]"
         );
         assert_eq!(utilization_json(&[]), "[]");
     }

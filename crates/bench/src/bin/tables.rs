@@ -90,6 +90,10 @@ fn run_eval(synthetic: usize, threads: usize, net: NetKind) -> Evaluation {
 /// simulator allocations), the optimized sweep serially, and the optimized
 /// sweep in parallel; checks all three produce the same reports; records
 /// the comparison in `BENCH_evaluation.json`.
+///
+/// The optimized sweeps are compared warm with warm: one untimed sweep
+/// first fills the process-wide arena pool, then serial and parallel
+/// sweeps run in S P P S order and each side reports its median.
 fn bench_eval(synthetic: usize, threads: usize) {
     eprintln!("timing the pre-optimization (seed-equivalent) sweep …");
     let max_mesh_cycles = EvalConfig::default().max_mesh_cycles;
@@ -98,13 +102,20 @@ fn bench_eval(synthetic: usize, threads: usize) {
     let seed_secs = t0.elapsed().as_secs_f64();
     eprintln!("seed-equivalent sweep: {seed_secs:.2}s");
 
-    let t1 = Instant::now();
-    let serial = run_eval(synthetic, 1, NetKind::Ideal);
-    let serial_secs = t1.elapsed().as_secs_f64();
-
-    let t2 = Instant::now();
-    let parallel = run_eval(synthetic, threads, NetKind::Ideal);
-    let parallel_secs = t2.elapsed().as_secs_f64();
+    eprintln!("untimed warm-up sweep …");
+    drop(run_eval(synthetic, threads, NetKind::Ideal));
+    let timed = |threads: usize| {
+        let t = Instant::now();
+        let eval = run_eval(synthetic, threads, NetKind::Ideal);
+        (eval, t.elapsed().as_secs_f64())
+    };
+    let (serial, s1) = timed(1);
+    let (_, p1) = timed(threads);
+    let (parallel, p2) = timed(threads);
+    let (_, s2) = timed(1);
+    // The median of two runs is their mean.
+    let serial_secs = (s1 + s2) / 2.0;
+    let parallel_secs = (p1 + p2) / 2.0;
 
     // Debug-string comparison: NaN-valued returns (legitimate in scripted
     // float kernels) are bitwise-identical but `!=` under IEEE 754.
@@ -134,7 +145,7 @@ fn bench_eval(synthetic: usize, threads: usize) {
         serial.records.len(),
         serial.samples.len(),
         parallel.sweep.threads_used,
-        utilization_json(&parallel.sweep.utilization()),
+        utilization_json(&parallel.sweep.workers),
     );
     std::fs::write("BENCH_evaluation.json", &json).expect("write BENCH_evaluation.json");
     println!("{json}");
@@ -229,7 +240,7 @@ fn bench_kernel(synthetic: usize, threads: usize) {
         serial.samples.len(),
         parallel.sweep.threads_used,
         serial_secs / parallel_secs.max(1e-9),
-        utilization_json(&parallel.sweep.utilization()),
+        utilization_json(&parallel.sweep.workers),
     );
     std::fs::write("BENCH_kernel.json", &json).expect("write BENCH_kernel.json");
     println!("{json}");

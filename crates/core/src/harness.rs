@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use javaflow_analysis::{pearson, Summary};
 use javaflow_bytecode::{verify, Cfg};
 use javaflow_fabric::{
-    place, prepare, resolve, ArenaPool, BranchMode, CostProfile, ExecParams, ExecReport,
-    FabricConfig, LoadedMethod, MetricsRegistry, NetKind, Outcome, ResolveStats, SimArena,
+    place, prepare, resolve, ArenaPool, BranchMode, ExecParams, ExecReport, FabricConfig,
+    LoadedMethod, MetricsRegistry, NetKind, Outcome, ResolveStats, SimArena,
 };
 use javaflow_workloads::SuiteKind;
 
@@ -120,9 +120,9 @@ pub struct Evaluation {
     /// All execution samples.
     pub samples: Vec<Sample>,
     /// Scheduling telemetry from the sweep: workers actually used plus
-    /// per-worker records/busy-time/batch/steal counts. Unlike every
-    /// other field, this is **not** deterministic — it describes how the
-    /// work-stealing scheduler happened to distribute the records.
+    /// per-worker record counts and busy time. Unlike every other field,
+    /// this is **not** deterministic — it describes which worker happened
+    /// to claim which records.
     pub sweep: SweepStats,
     /// `(record, config, bp)` → index into `samples`, built once after
     /// the sweep so [`Evaluation::sample`] is O(1).
@@ -167,22 +167,19 @@ impl Evaluation {
 
     /// Runs the full evaluation.
     ///
-    /// Records are swept on [`EvalConfig::threads`] work-stealing workers
-    /// in **descending predicted cost** (tail-first: static length scaled
-    /// by a persisted `events_per_run` profile when
-    /// `JAVAFLOW_COST_PROFILE` names one), each worker drawing a warm
-    /// [`SimArena`] from the process-wide [`ArenaPool`]. The results are
-    /// spliced back in record order, so the output is bit-identical to a
-    /// serial run at any thread count and under any schedule.
+    /// Records are swept on [`EvalConfig::threads`] workers in
+    /// **descending static length** (longest first), each worker drawing
+    /// a warm [`SimArena`] from the process-wide [`ArenaPool`]. The
+    /// results are spliced back in record order, so the output is
+    /// bit-identical to a serial run at any thread count and under any
+    /// schedule.
     #[must_use]
     pub fn run(cfg: &EvalConfig) -> Evaluation {
         let records = population(cfg.synthetic_count);
         let configs: Vec<FabricConfig> =
             cfg.configs.iter().map(|c| c.clone().with_net(cfg.net)).collect();
 
-        let profile_path = std::env::var_os("JAVAFLOW_COST_PROFILE").map(std::path::PathBuf::from);
-        let profile = profile_path.as_deref().and_then(CostProfile::load);
-        let schedule = cost_schedule(&records, profile.as_ref());
+        let schedule = cost_schedule(&records);
 
         let pool = ArenaPool::global();
         let swept = sweep_ordered(
@@ -204,32 +201,7 @@ impl Evaluation {
             },
         );
 
-        let eval = Evaluation::assemble(records, configs, swept.results, swept.stats);
-        if let Some(path) = profile_path {
-            // Fold this sweep's observed costs into the persisted profile
-            // so the next sweep (or the next process) schedules from
-            // measured history. Best-effort: a read-only path must not
-            // fail the evaluation.
-            let mut updated = profile.unwrap_or_default();
-            updated.merge(&eval.cost_profile());
-            if let Err(e) = updated.save(&path) {
-                eprintln!("JAVAFLOW_COST_PROFILE: could not persist {}: {e}", path.display());
-            }
-        }
-        eval
-    }
-
-    /// The run-cost profile observed by this sweep: every sample's
-    /// scheduler-event count keyed by its record's static length. Feeds
-    /// the tail-first dispatch of later sweeps (persisted via
-    /// `JAVAFLOW_COST_PROFILE`).
-    #[must_use]
-    pub fn cost_profile(&self) -> CostProfile {
-        let mut p = CostProfile::new();
-        for s in &self.samples {
-            p.observe(self.records[s.record].len(), s.report.events);
-        }
-        p
+        Evaluation::assemble(records, configs, swept.results, swept.stats)
     }
 
     fn baseline_index(&self) -> usize {
@@ -486,15 +458,13 @@ impl Evaluation {
 ///
 /// The predictor is the record's static instruction count — the routing
 /// graph a [`prepare`] produces is node-per-instruction, so length is the
-/// graph size — refined to predicted scheduler events when a persisted
-/// [`CostProfile`] is available. Every record contributes the same number
-/// of scripted runs (configs × branch scripts), so per-run cost orders
-/// the records directly.
-pub(crate) fn cost_schedule(records: &[MethodRecord], profile: Option<&CostProfile>) -> Vec<u32> {
-    let cost: Vec<u64> =
-        records.iter().map(|r| profile.map_or(r.len() as u64, |p| p.predict(r.len()))).collect();
+/// graph size. Every record contributes the same number of scripted runs
+/// (configs × branch scripts), so per-run cost orders the records
+/// directly.
+pub(crate) fn cost_schedule(records: &[MethodRecord]) -> Vec<u32> {
     let mut schedule: Vec<u32> = (0..records.len() as u32).collect();
-    schedule.sort_by(|&a, &b| cost[b as usize].cmp(&cost[a as usize]).then(a.cmp(&b)));
+    // Stable sort: equal lengths keep index order.
+    schedule.sort_by_key(|&i| std::cmp::Reverse(records[i as usize].len()));
     schedule
 }
 

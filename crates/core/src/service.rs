@@ -127,7 +127,7 @@ impl PreparedPopulation {
         let configs: Vec<FabricConfig> =
             cfg.configs.iter().map(|c| c.clone().with_net(cfg.net)).collect();
         let slice = &self.records[lo..hi];
-        let schedule = cost_schedule(slice, None);
+        let schedule = cost_schedule(slice);
         let pool = ArenaPool::global();
         let swept = sweep_ordered(
             slice,
@@ -218,7 +218,5 @@ fn merge_stats(into: &mut SweepStats, batch: &SweepStats) {
     for (acc, w) in into.workers.iter_mut().zip(&batch.workers) {
         acc.records_done += w.records_done;
         acc.busy_secs += w.busy_secs;
-        acc.batches += w.batches;
-        acc.steals += w.steals;
     }
 }

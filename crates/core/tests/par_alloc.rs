@@ -2,7 +2,7 @@
 //! arena pool is warm, the per-record simulation work allocates nothing,
 //! so a whole sweep's heap traffic is a small constant (thread spawns
 //! plus a handful of pre-sized scheduler vectors) — **independent of the
-//! record count**. A per-record allocation anywhere in the claim / steal /
+//! record count**. A per-record allocation anywhere in the claim /
 //! splice path would scale with the item count and fail this test.
 //!
 //! Single-test file on purpose: the counting `#[global_allocator]` is

@@ -1,17 +1,22 @@
-//! Adversarial scheduling tests for the work-stealing sweep: a long-tail
-//! cost distribution must not hold the join hostage, output must stay
-//! order-preserving under any schedule, and worker panics must propagate.
+//! Adversarial scheduling tests for the sweep: the longest record must
+//! start first and must not hold the join, no worker may hoard unstarted
+//! records, output must stay order-preserving under any schedule, and
+//! worker panics must propagate.
+//!
+//! Every pass condition is decided by the test itself (a condition
+//! variable that only a correct schedule can satisfy), never by the host
+//! clock. The timeouts below only turn a broken scheduler's hang into a
+//! failure.
 
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use javaflow_core::parallel::{par_map, sweep_ordered};
 
-/// Simulated per-item work: sleeping (rather than spinning) makes the
-/// test's parallelism real even on a single-core runner, and keeps the
-/// costs independent of machine speed.
-fn busy(cost: Duration) {
-    std::thread::sleep(cost);
-}
+/// How long a blocked item waits for the condition a correct scheduler
+/// guarantees before it declares the schedule broken.
+const HANG: Duration = Duration::from_secs(10);
 
 /// Builds the harness's dispatch order: descending cost, ties by index.
 fn descending_schedule(costs: &[u64]) -> Vec<u32> {
@@ -20,65 +25,99 @@ fn descending_schedule(costs: &[u64]) -> Vec<u32> {
     schedule
 }
 
+/// A counter that items can wait on, with the highest value it reached.
+#[derive(Default)]
+struct Gauge {
+    /// `(current, peak)`.
+    value: Mutex<(usize, usize)>,
+    changed: Condvar,
+}
+
+impl Gauge {
+    fn add(&self, delta: isize) {
+        let mut v = self.value.lock().expect("gauge lock");
+        v.0 = v.0.checked_add_signed(delta).expect("gauge underflow");
+        v.1 = v.1.max(v.0);
+        self.changed.notify_all();
+    }
+
+    /// Waits until `ready(current, peak)` holds; false if it still does
+    /// not after [`HANG`].
+    fn wait_for(&self, ready: impl Fn(usize, usize) -> bool) -> bool {
+        let v = self.value.lock().expect("gauge lock");
+        let (v, _) =
+            self.changed.wait_timeout_while(v, HANG, |v| !ready(v.0, v.1)).expect("gauge lock");
+        ready(v.0, v.1)
+    }
+}
+
 #[test]
 fn long_tail_is_scheduled_first_and_does_not_hold_the_join() {
     // The adversarial distribution from the events_per_run histogram: one
     // 100×-cost straggler hiding in 1000 uniform records.
-    const UNIFORM_US: u64 = 40;
     const HEAVY_INDEX: usize = 700;
-    let costs: Vec<u64> =
-        (0..1001).map(|i| if i == HEAVY_INDEX { UNIFORM_US * 100 } else { UNIFORM_US }).collect();
+    const THREADS: usize = 4;
+    let costs: Vec<u64> = (0..1001).map(|i| if i == HEAVY_INDEX { 100 } else { 1 }).collect();
+    let n = costs.len();
 
     let schedule = descending_schedule(&costs);
     assert_eq!(
         schedule[0] as usize, HEAVY_INDEX,
         "cost-ordered dispatch must start the straggler first"
     );
+    let mut position = vec![0usize; n];
+    for (pos, &i) in schedule.iter().enumerate() {
+        position[i as usize] = pos;
+    }
 
-    let run = |threads: usize| {
-        let start = Instant::now();
-        let out = sweep_ordered(
-            &costs,
-            threads,
-            &schedule,
-            || (),
-            |()| (),
-            |(), i, &c| {
-                busy(Duration::from_micros(c));
-                i as u64 * 2
-            },
-        );
-        (out, start.elapsed())
-    };
-
-    let (serial, serial_elapsed) = run(1);
-    let (parallel, parallel_elapsed) = run(4);
+    // The straggler runs until every other record has finished. That
+    // only completes if the other workers can claim all of them while
+    // the straggler's worker is busy — a scheduler that handed the
+    // straggler's worker a batch of unstarted records would leave them
+    // stranded behind it.
+    let others_done = Gauge::default();
+    let next_worker = AtomicUsize::new(0);
+    let claims = Mutex::new(Vec::new());
+    let out = sweep_ordered(
+        &costs,
+        THREADS,
+        &schedule,
+        || (next_worker.fetch_add(1, Ordering::Relaxed), Vec::new()),
+        |log| claims.lock().expect("claims lock").push(log),
+        |(_, claimed), i, _| {
+            claimed.push(position[i]);
+            if i == HEAVY_INDEX {
+                assert!(
+                    others_done.wait_for(|done, _| done == n - 1),
+                    "the other records did not finish while the straggler ran: \
+                     some were hoarded by the straggler's worker"
+                );
+            } else {
+                others_done.add(1);
+            }
+            i as u64 * 2
+        },
+    );
 
     // Order-preserving output: the splice is by original index.
-    let expect: Vec<u64> = (0..costs.len() as u64).map(|i| i * 2).collect();
-    assert_eq!(serial.results, expect);
-    assert_eq!(parallel.results, expect);
+    let expect: Vec<u64> = (0..n as u64).map(|i| i * 2).collect();
+    assert_eq!(out.results, expect);
+    assert_eq!(out.stats.threads_used, THREADS);
+    assert_eq!(out.stats.workers.iter().map(|w| w.records_done).sum::<u64>(), n as u64);
 
-    // Join-wait bound: four workers over sleep-based work must beat the
-    // serial wall time by a wide margin even under CI noise. A scheduler
-    // that starts the straggler last (or lets one worker hoard it behind
-    // a large batch with no stealing) pays nearly the serial time again
-    // at the join and fails this bound.
-    assert!(
-        parallel_elapsed < serial_elapsed.mul_f64(0.6),
-        "parallel sweep {parallel_elapsed:?} did not beat serial {serial_elapsed:?} by ≥ 40%"
-    );
-
-    // The work must actually have been distributed.
-    let stats = &parallel.stats;
-    assert_eq!(stats.threads_used, 4);
-    assert_eq!(stats.workers.iter().map(|w| w.records_done).sum::<u64>(), costs.len() as u64);
-    assert!(
-        stats.workers.iter().filter(|w| w.records_done > 0).count() >= 2,
-        "only one worker did any work: {stats:?}"
-    );
-    let batches: u64 = stats.workers.iter().map(|w| w.batches).sum();
-    assert!(batches >= 4, "1001 records must be claimed in many guided batches, got {batches}");
+    // Each worker claims schedule positions in increasing order, and the
+    // straggler (position 0) is the first claim of whichever worker took
+    // it.
+    let claims = claims.into_inner().expect("claims lock");
+    assert_eq!(claims.len(), THREADS);
+    for (worker, log) in &claims {
+        assert!(
+            log.windows(2).all(|w| w[0] < w[1]),
+            "worker {worker} claimed positions out of schedule order: {log:?}"
+        );
+    }
+    let holder = claims.iter().find(|(_, log)| log.contains(&0)).expect("position 0 was claimed");
+    assert_eq!(holder.1[0], 0, "the straggler must be its worker's first claim");
 }
 
 #[test]
@@ -94,15 +133,16 @@ fn worker_panic_propagates_to_the_caller() {
 }
 
 #[test]
-fn stealing_redistributes_a_hoarded_expensive_batch() {
-    // Cost-descending dispatch packs the 8 expensive records into the
-    // first guided batch (64 items / (2 threads × 4) = 8), so one worker
-    // claims *all* of them. The other worker burns through the 56
-    // free items, drains the queue, and must then steal the expensive
-    // batch's unstarted half instead of idling at the join.
-    let costs: Vec<u64> = (0..64).map(|i| if i < 8 { 20_000 } else { 0 }).collect();
+fn expensive_head_of_the_schedule_runs_on_both_workers() {
+    // Cost-descending dispatch puts the 8 expensive records at the head
+    // of the schedule. A scheduler that let one worker claim them all
+    // would run them back to back while the other worker drains the
+    // cheap tail. Rendezvous: each expensive record waits until two
+    // expensive records have been running at the same time, which only
+    // happens when they run on different workers.
+    let costs: Vec<u64> = (0..64).map(|i| if i < 8 { 1 } else { 0 }).collect();
     let schedule = descending_schedule(&costs);
-    let start = Instant::now();
+    let running = Gauge::default();
     let out = sweep_ordered(
         &costs,
         2,
@@ -110,19 +150,17 @@ fn stealing_redistributes_a_hoarded_expensive_batch() {
         || (),
         |()| (),
         |(), i, &c| {
-            busy(Duration::from_micros(c));
+            if c > 0 {
+                running.add(1);
+                assert!(
+                    running.wait_for(|_, peak| peak >= 2),
+                    "no second expensive record ever ran alongside record {i}"
+                );
+                running.add(-1);
+            }
             i
         },
     );
-    let elapsed = start.elapsed();
     assert_eq!(out.results, (0..64).collect::<Vec<_>>());
     assert_eq!(out.stats.workers.iter().map(|w| w.records_done).sum::<u64>(), 64);
-    let steals: u64 = out.stats.workers.iter().map(|w| w.steals).sum();
-    assert!(steals >= 1, "the idle worker never stole from the expensive batch: {:?}", out.stats);
-    // 8 × 20ms of sleeps split across two workers: well under the 160ms
-    // a no-steal schedule would serialize onto one worker.
-    assert!(
-        elapsed < Duration::from_millis(145),
-        "sweep took {elapsed:?}; stolen work is not actually running in parallel"
-    );
 }

@@ -144,30 +144,24 @@ fn pool_checkin_drops_arenas_above_the_retain_cap() {
     // pool must not retain all of them forever — checkins above the
     // high-water mark drop the arena (freeing its slabs) instead of
     // parking it.
+    let cap = ArenaPool::default_retain_cap();
     let pool = ArenaPool::new();
-    pool.set_retain_cap(3);
-    assert_eq!(pool.retain_cap(), 3);
-    let burst: Vec<SimArena> = (0..16).map(|_| pool.checkout()).collect();
+    let burst: Vec<SimArena> = (0..cap + 3).map(|_| pool.checkout()).collect();
     assert_eq!(pool.warm_len(), 0);
     for arena in burst {
         pool.checkin(arena);
     }
-    assert_eq!(pool.warm_len(), 3, "checkin must cap retention at the high-water mark");
-
-    // Lowering the cap sheds already-parked arenas too.
-    pool.set_retain_cap(1);
-    assert_eq!(pool.warm_len(), 1);
+    assert_eq!(pool.warm_len(), cap, "checkin must cap retention at the high-water mark");
 
     // The cap bounds retention, not service: checkout still always
     // yields an arena, dry pool or not.
-    let a = pool.checkout();
-    let b = pool.checkout();
+    let drained: Vec<SimArena> = (0..cap + 1).map(|_| pool.checkout()).collect();
     assert_eq!(pool.warm_len(), 0);
-    pool.checkin(a);
-    pool.checkin(b);
-    assert_eq!(pool.warm_len(), 1);
+    for arena in drained {
+        pool.checkin(arena);
+    }
+    assert_eq!(pool.warm_len(), cap);
 
     // The default cap scales with the machine but never collapses.
     assert!(ArenaPool::default_retain_cap() >= 4);
-    assert_eq!(ArenaPool::new().retain_cap(), ArenaPool::default_retain_cap());
 }
