@@ -49,10 +49,12 @@ pub struct EvalConfig {
     /// Report-memo execution (`ExecParams::compiled`). Off by default: a
     /// one-shot sweep runs every (method, config, script) key exactly
     /// once, so storing reports that are never looked up again only
-    /// holds memory. Resident processes (`core::service`, the server)
-    /// that re-run sweeps against cached
-    /// [`javaflow_fabric::PreparedMethod`]s opt in, and every sweep after
-    /// the first returns stored reports instead of simulating.
+    /// holds memory. In-process callers that re-run sweeps against cached
+    /// [`javaflow_fabric::PreparedMethod`]s (`core::service`) opt in, and
+    /// every sweep after the first returns stored reports instead of
+    /// simulating. `javaflow-serve` stores whole responses instead and
+    /// sets this only on the contended net, where the memo declines but
+    /// marks each report's `declined` mask.
     pub compiled: bool,
 }
 

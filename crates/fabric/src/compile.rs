@@ -32,7 +32,7 @@ use crate::{BranchMode, ExecReport, FabricConfig};
 
 /// The per-method report memo, shared through [`crate::PreparedMethod`]
 /// exactly like the decoded dispatch tables: one `Arc` serves every
-/// placement, sweep, and server request over the method. The handful of
+/// placement and sweep over the method. The handful of
 /// live keys (six configurations × two branch scripts in a sweep) makes
 /// a linear scan cheaper than hashing the configuration.
 #[derive(Debug, Default)]

@@ -431,8 +431,8 @@ pub struct ExecParams<'g, 'p> {
     /// event. The first eligible run per key walks the event loop and
     /// stores its report; later runs return an allocation-free clone of
     /// it. Off by default: one-shot sweeps never re-execute a key, so
-    /// storing reports would only hold memory — resident processes (the
-    /// sweep server) and repeated-run harnesses opt in.
+    /// storing reports would only hold memory — repeated in-process
+    /// sweeps opt in.
     pub compiled: bool,
 }
 

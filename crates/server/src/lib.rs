@@ -17,6 +17,9 @@
 //! * **Batching / coalescing** — compatible concurrent sweeps (same
 //!   population, cycle budget, net model, and fast-forward setting) share
 //!   one simulation; every subscriber receives the identical frames.
+//! * **Response cache** — a completed `compiled: true` sweep's encoded
+//!   response is stored per key (within a fixed byte bound), and a repeat
+//!   streams it again instead of sweeping.
 //! * **Backpressure** — the admission queue is bounded; saturation is an
 //!   immediate `429`, never an unbounded backlog.
 //! * **Deadlines** — a per-request deadline cancels its sweep at the next
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cache;
 pub mod flight;
 mod http;
 pub mod json;
@@ -47,4 +51,6 @@ pub mod protocol;
 mod server;
 pub mod span;
 
+#[doc(hidden)]
+pub use server::DeadlineClock;
 pub use server::{Server, ServerConfig};

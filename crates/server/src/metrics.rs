@@ -23,13 +23,16 @@ pub struct ServerMetrics {
     pub rejected_drain: u64,
     /// Frames that failed to parse or validate (`400`/`413`).
     pub bad_requests: u64,
-    /// Sweeps that streamed to `done`.
+    /// Sweeps that streamed to `done` (counted as the `done` frame is
+    /// written; a failed write moves the request to `disconnects`).
     pub completed: u64,
     /// Sweeps cancelled at a batch boundary by their deadline (`504`).
     pub cancelled_deadline: u64,
     /// Subscribers dropped mid-stream by a write failure.
     pub disconnects: u64,
-    /// Sweeps actually executed (≤ `accepted` when coalescing wins).
+    /// Groups served, by a sweep or from the response cache
+    /// (≤ `accepted` when coalescing wins). Sweeps actually executed are
+    /// `sweeps - response_cache_hits`.
     pub sweeps: u64,
     /// Admitted requests that shared an already-queued sweep.
     pub coalesced_requests: u64,
@@ -37,6 +40,12 @@ pub struct ServerMetrics {
     pub batches_streamed: u64,
     /// Result-frame bytes written across all subscribers.
     pub bytes_streamed: u64,
+    /// Groups served from the whole-response cache instead of a sweep.
+    pub response_cache_hits: u64,
+    /// Stored responses evicted to keep the cache within its byte bound.
+    pub response_cache_evictions: u64,
+    /// Gauge: payload and table bytes the response cache retains now.
+    pub response_cache_bytes: u64,
     /// End-to-end sweep latency (admission → done), microseconds.
     pub latency_us: Histogram,
     /// Time spent queued before the sweeper picked the job up, microseconds.
@@ -98,8 +107,10 @@ impl ServerMetrics {
             "{{\"accepted\": {}, \"rejected_busy\": {}, \"rejected_drain\": {}, \
              \"bad_requests\": {}, \"completed\": {}, \"cancelled_deadline\": {}, \
              \"disconnects\": {}, \"sweeps\": {}, \"coalesced_requests\": {}, \
-             \"batches_streamed\": {}, \"bytes_streamed\": {}, \"queue_depth\": {queue_depth}, \
-             \"in_flight\": {in_flight}, \"latency\": {}, \"queue_wait\": {}, \"phases\": {phases}}}",
+             \"batches_streamed\": {}, \"bytes_streamed\": {}, \"response_cache_hits\": {}, \
+             \"response_cache_evictions\": {}, \"response_cache_bytes\": {}, \
+             \"queue_depth\": {queue_depth}, \"in_flight\": {in_flight}, \"latency\": {}, \
+             \"queue_wait\": {}, \"phases\": {phases}}}",
             self.accepted,
             self.rejected_busy,
             self.rejected_drain,
@@ -111,6 +122,9 @@ impl ServerMetrics {
             self.coalesced_requests,
             self.batches_streamed,
             self.bytes_streamed,
+            self.response_cache_hits,
+            self.response_cache_evictions,
+            self.response_cache_bytes,
             q(&self.latency_us),
             q(&self.queue_wait_us),
         )
@@ -127,7 +141,7 @@ impl ServerMetrics {
         in_flight: usize,
         draining: bool,
     ) {
-        let counters: [(&str, u64); 11] = [
+        let counters: [(&str, u64); 13] = [
             ("accepted", self.accepted),
             ("rejected_busy", self.rejected_busy),
             ("rejected_drain", self.rejected_drain),
@@ -139,15 +153,18 @@ impl ServerMetrics {
             ("coalesced_requests", self.coalesced_requests),
             ("batches_streamed", self.batches_streamed),
             ("bytes_streamed", self.bytes_streamed),
+            ("response_cache_hits", self.response_cache_hits),
+            ("response_cache_evictions", self.response_cache_evictions),
         ];
         for (name, v) in counters {
             let _ = writeln!(out, "# TYPE javaflow_server_{name}_total counter");
             let _ = writeln!(out, "javaflow_server_{name}_total {v}");
         }
-        let gauges: [(&str, u64); 3] = [
+        let gauges: [(&str, u64); 4] = [
             ("queue_depth", queue_depth as u64),
             ("in_flight", in_flight as u64),
             ("draining", u64::from(draining)),
+            ("response_cache_bytes", self.response_cache_bytes),
         ];
         for (name, v) in gauges {
             let _ = writeln!(out, "# TYPE javaflow_server_{name} gauge");
@@ -180,13 +197,22 @@ mod tests {
 
     #[test]
     fn render_carries_counters_and_quantiles() {
-        let mut m = ServerMetrics { accepted: 7, coalesced_requests: 3, ..Default::default() };
+        let mut m = ServerMetrics {
+            accepted: 7,
+            coalesced_requests: 3,
+            response_cache_hits: 5,
+            response_cache_bytes: 4096,
+            ..Default::default()
+        };
         for us in [100, 200, 400, 800] {
             m.observe_latency(Duration::from_micros(us));
         }
         let s = m.render_json(2, 1);
         assert!(s.contains("\"accepted\": 7"), "{s}");
         assert!(s.contains("\"coalesced_requests\": 3"), "{s}");
+        assert!(s.contains("\"response_cache_hits\": 5"), "{s}");
+        assert!(s.contains("\"response_cache_evictions\": 0"), "{s}");
+        assert!(s.contains("\"response_cache_bytes\": 4096"), "{s}");
         assert!(s.contains("\"queue_depth\": 2"), "{s}");
         assert!(s.contains("\"in_flight\": 1"), "{s}");
         assert!(s.contains("\"count\": 4"), "{s}");
@@ -214,7 +240,12 @@ mod tests {
 
     #[test]
     fn prometheus_page_has_counters_gauges_and_phase_histograms() {
-        let mut m = ServerMetrics { accepted: 2, ..Default::default() };
+        let mut m = ServerMetrics {
+            accepted: 2,
+            response_cache_evictions: 1,
+            response_cache_bytes: 77,
+            ..Default::default()
+        };
         let mut s = RequestSpan { outcome: 200, kind: b's', ..Default::default() };
         s.add_phase(PHASE_EXECUTE, Duration::from_micros(900));
         m.observe_span(&s);
@@ -224,6 +255,10 @@ mod tests {
         assert!(page.contains("# TYPE javaflow_server_queue_depth gauge"), "{page}");
         assert!(page.contains("javaflow_server_queue_depth 4"), "{page}");
         assert!(page.contains("javaflow_server_draining 0"), "{page}");
+        assert!(page.contains("javaflow_server_response_cache_hits_total 0"), "{page}");
+        assert!(page.contains("javaflow_server_response_cache_evictions_total 1"), "{page}");
+        assert!(page.contains("# TYPE javaflow_server_response_cache_bytes gauge"), "{page}");
+        assert!(page.contains("javaflow_server_response_cache_bytes 77"), "{page}");
         assert!(page.contains("javaflow_server_phase_execute_us_bucket{le=\"1023\"} 1"), "{page}");
         assert!(page.contains("javaflow_server_phase_execute_us_count 1"), "{page}");
     }

@@ -13,9 +13,10 @@
 //! `load_gen` exercises exactly that equivalence via
 //! [`expected_batch_payloads`].
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use javaflow_analysis::report_json::{exec_report_json, json_escape};
+use javaflow_core::tables::chapter7_tables;
 use javaflow_core::{EvalConfig, Evaluation, MethodRecord, MethodStatics, Sample};
 use javaflow_fabric::NetKind;
 
@@ -87,9 +88,32 @@ pub fn read_frame_timed(
 /// Panics if `payload` exceeds `u32::MAX` bytes (no rendered response
 /// approaches this).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).expect("frame fits in u32");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    write_frame_parts(w, &[payload])
+}
+
+/// Writes one length-prefixed frame whose payload is `parts` laid end to
+/// end. The prefix and the parts leave in one vectored write (looping on
+/// partial writes), so a frame never goes out as a lone 4-byte segment
+/// and a large shared part is never copied into a per-frame buffer.
+///
+/// # Panics
+///
+/// Panics if the parts add up to more than `u32::MAX` bytes.
+pub fn write_frame_parts(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<()> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(total).expect("frame fits in u32").to_be_bytes();
+    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(parts.len() + 1);
+    slices.push(IoSlice::new(&len));
+    slices.extend(parts.iter().map(|p| IoSlice::new(p)));
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -143,10 +167,11 @@ pub struct SweepRequest {
     pub threads: Option<usize>,
     /// Token-walk fast-forwarding.
     pub fast_forward: bool,
-    /// Serve eligible runs from the per-method report memo
-    /// (`ExecParams::compiled`): a repeated sweep returns stored reports
-    /// instead of re-simulating. Part of the coalescing key — compiled
-    /// and interpreted sweeps never share a run.
+    /// Serve stored results: once a compiled sweep of this key has
+    /// completed, a repeat streams the server's stored response (batch
+    /// payloads, totals, tables) instead of sweeping again. The bytes are
+    /// the same either way. Part of the coalescing key — compiled and
+    /// interpreted sweeps never share a run.
     pub compiled: bool,
     /// Chapter 7 tables to render into the final `done` frame.
     pub tables: Vec<u32>,
@@ -349,34 +374,67 @@ pub fn expected_batch_payloads(eval: &Evaluation, batch_records: usize) -> Vec<(
     out
 }
 
-/// Builds one full batch frame around a shared records payload.
+/// The start of a `batch` frame, up to its `"records"` value. A batch
+/// frame is this head, the records payload, then [`BATCH_FRAME_TAIL`];
+/// the server writes the three as gathered slices, so a payload shared
+/// by many subscribers (or stored across requests) is never copied.
 #[must_use]
-pub fn batch_frame(id: u64, seq: usize, first_record: usize, records_payload: &str) -> String {
+pub fn batch_frame_head(id: u64, seq: usize, first_record: usize) -> String {
     format!(
-        "{{\"type\": \"batch\", \"id\": {id}, \"seq\": {seq}, \"first_record\": {first_record}, \"records\": {records_payload}}}"
+        "{{\"type\": \"batch\", \"id\": {id}, \"seq\": {seq}, \"first_record\": {first_record}, \"records\": "
     )
 }
 
-/// Builds the final `done` frame: totals plus the requested rendered
-/// tables. `coalesced` reports whether this request shared its sweep.
+/// The end of a `batch` frame, after its records payload.
+pub const BATCH_FRAME_TAIL: &str = "}";
+
+/// Builds one full batch frame around a shared records payload.
 #[must_use]
-pub fn done_frame(id: u64, eval: &Evaluation, coalesced: bool, tables: &[u32]) -> String {
+pub fn batch_frame(id: u64, seq: usize, first_record: usize, records_payload: &str) -> String {
+    let mut frame = batch_frame_head(id, seq, first_record);
+    frame.push_str(records_payload);
+    frame.push_str(BATCH_FRAME_TAIL);
+    frame
+}
+
+/// Chapter 7 table `table` of `eval`, JSON-escaped as a `done` frame
+/// embeds it.
+#[must_use]
+pub fn escaped_table(eval: &Evaluation, table: u32) -> String {
+    json_escape(&chapter7_tables(eval, table))
+}
+
+/// Builds the final `done` frame from the sweep's totals and the
+/// requested tables, each as `escaped(t)` (see [`escaped_table`]) yields
+/// it. `coalesced` reports whether this request shared its sweep.
+#[must_use]
+pub fn done_frame_with<S: AsRef<str>>(
+    id: u64,
+    records: usize,
+    samples: usize,
+    coalesced: bool,
+    tables: &[u32],
+    mut escaped: impl FnMut(u32) -> S,
+) -> String {
     let mut rendered = String::from("{");
     for (i, &t) in tables.iter().enumerate() {
         if i > 0 {
             rendered.push_str(", ");
         }
-        rendered.push_str(&format!(
-            "\"{t}\": \"{}\"",
-            json_escape(&javaflow_core::tables::chapter7_tables(eval, t))
-        ));
+        rendered.push_str(&format!("\"{t}\": \"{}\"", escaped(t).as_ref()));
     }
     rendered.push('}');
     format!(
-        "{{\"type\": \"done\", \"id\": {id}, \"records\": {}, \"samples\": {}, \"coalesced\": {coalesced}, \"tables\": {rendered}}}",
-        eval.records.len(),
-        eval.samples.len(),
+        "{{\"type\": \"done\", \"id\": {id}, \"records\": {records}, \"samples\": {samples}, \"coalesced\": {coalesced}, \"tables\": {rendered}}}"
     )
+}
+
+/// [`done_frame_with`] over a finished in-process [`Evaluation`].
+#[must_use]
+pub fn done_frame(id: u64, eval: &Evaluation, coalesced: bool, tables: &[u32]) -> String {
+    done_frame_with(id, eval.records.len(), eval.samples.len(), coalesced, tables, |t| {
+        escaped_table(eval, t)
+    })
 }
 
 /// Builds an error frame.
@@ -401,6 +459,44 @@ mod tests {
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"{\"kind\": \"ping\"}");
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 1024).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A writer that takes at most five bytes per call, across slice
+    /// boundaries, like a congested socket.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut room = 5;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.0.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(5 - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn gathered_frames_survive_partial_writes() {
+        let mut w = Trickle(Vec::new());
+        let head = batch_frame_head(7, 2, 32);
+        let parts: [&[u8]; 4] = [head.as_bytes(), b"", b"[{\"record\": 32}]", b"}"];
+        write_frame_parts(&mut w, &parts).unwrap();
+        write_frame(&mut w, b"").unwrap();
+        let mut r = &w.0[..];
+        let frame = read_frame(&mut r, 1024).unwrap().unwrap();
+        assert_eq!(frame, batch_frame(7, 2, 32, "[{\"record\": 32}]").as_bytes());
+        assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut r, 1024).unwrap().is_none());
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! saturation is a `429` response, not an unbounded backlog — and
 //! compatible queued requests (same [`SweepKey`]) are coalesced into a
 //! single shared sweep whose batch frames fan out to every subscriber.
+//! A compiled key's completed response is kept in the whole-response
+//! cache ([`crate::cache`]) and replayed to later groups of that key.
 //! Shutdown is a drain: no new sweeps are admitted (`503`), everything
 //! already queued streams to completion, then the threads exit.
 //!
@@ -16,7 +18,7 @@
 //! `/metrics` (Prometheus text), `/healthz`, and `/varz`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -29,11 +31,12 @@ use javaflow_analysis::report_json::json_escape;
 use javaflow_core::{EvalConfig, PreparedPopulation};
 use javaflow_fabric::{MetricsRegistry, NetKind, WARN_COUNTERS};
 
+use crate::cache::{ResponseCache, StoredResponse, RESPONSE_CACHE_BYTES};
 use crate::flight::{FlightEntry, FlightRecorder};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    batch_frame, batch_payload, done_frame, error_frame, parse_request, read_frame_timed,
-    write_frame, FrameError, Request, SweepRequest, MAX_REQUEST_FRAME,
+    batch_frame_head, batch_payload, done_frame, error_frame, parse_request, read_frame_timed,
+    write_frame_parts, FrameError, Request, SweepRequest, BATCH_FRAME_TAIL, MAX_REQUEST_FRAME,
 };
 use crate::span::{
     RequestSpan, OUTCOME_CLIENT_GONE, PHASE_EXECUTE, PHASE_PARSE, PHASE_PREPARE, PHASE_QUEUE,
@@ -81,6 +84,25 @@ pub struct ServerConfig {
     /// lines. On by default; `--bench-serve` turns it off to measure the
     /// untraced floor the 2% overhead guard compares against.
     pub observability: bool,
+    /// Test hook: the clock the sweeper reads for deadline checks, once
+    /// when it picks a group up and once at every batch boundary. The
+    /// sweeper blocks inside the call, so a test decides both when a
+    /// sweep moves on and whether a deadline has passed. `None` reads
+    /// `Instant::now`.
+    #[doc(hidden)]
+    pub deadline_clock: Option<DeadlineClock>,
+}
+
+/// A test-supplied clock for deadline checks; see
+/// [`ServerConfig::deadline_clock`].
+#[doc(hidden)]
+#[derive(Clone)]
+pub struct DeadlineClock(pub Arc<dyn Fn() -> Instant + Send + Sync>);
+
+impl std::fmt::Debug for DeadlineClock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DeadlineClock(..)")
+    }
 }
 
 impl Default for ServerConfig {
@@ -98,6 +120,7 @@ impl Default for ServerConfig {
             flight_capacity: 1024,
             flight_dump_on_error: None,
             observability: true,
+            deadline_clock: None,
         }
     }
 }
@@ -113,9 +136,11 @@ pub(crate) struct SweepKey {
     pub(crate) max_mesh_cycles: u64,
     pub(crate) net_contended: bool,
     pub(crate) fast_forward: bool,
-    /// Execution backend: the report memo vs the interpreted walk.
-    /// Reports are bit-identical either way, but the backend is part of
-    /// the contract a subscriber asked for — compiled and interpreted
+    /// Whether the subscriber asked for stored results. A compiled key
+    /// is served from the whole-response cache once one of its sweeps
+    /// has completed; interpreted keys always sweep. Responses are
+    /// byte-identical either way, but the backend is part of the
+    /// contract a subscriber asked for — compiled and interpreted
     /// sweeps never coalesce onto one shared run.
     pub(crate) compiled: bool,
 }
@@ -195,6 +220,13 @@ impl Write for AnyStream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            AnyStream::Tcp(s) => s.write_vectored(bufs),
+            AnyStream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             AnyStream::Tcp(s) => s.flush(),
@@ -222,11 +254,17 @@ impl ConnWriter {
 
     /// Writes one frame; `false` once the connection is dead.
     fn send(&self, payload: &str) -> bool {
+        self.send_parts(&[payload.as_bytes()])
+    }
+
+    /// Writes one frame whose payload is `parts` laid end to end, in one
+    /// vectored write; `false` once the connection is dead.
+    fn send_parts(&self, parts: &[&[u8]]) -> bool {
         if self.closed.load(Ordering::Relaxed) {
             return false;
         }
         let mut s = self.stream.lock().expect("writer lock");
-        match write_frame(&mut *s, payload.as_bytes()) {
+        match write_frame_parts(&mut *s, parts) {
             Ok(()) => true,
             Err(_) => {
                 self.closed.store(true, Ordering::Relaxed);
@@ -282,6 +320,12 @@ impl Shared {
     /// Microseconds since the server epoch.
     pub(crate) fn now_us(&self) -> u64 {
         crate::span::as_micros_u64(self.epoch.elapsed())
+    }
+
+    /// The time a deadline check compares against (see
+    /// [`ServerConfig::deadline_clock`]).
+    fn deadline_now(&self) -> Instant {
+        self.cfg.deadline_clock.as_ref().map_or_else(Instant::now, |c| (c.0)())
     }
 
     /// Current admission-queue depth.
@@ -510,6 +554,11 @@ fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> std::io::Result
     while !shared.drained.load(Ordering::SeqCst) {
         match accept() {
             Ok(stream) => {
+                // Frames are written whole; Nagle would only hold a
+                // frame's last segment back for the peer's delayed ACK.
+                if let AnyStream::Tcp(s) = &stream {
+                    let _ = s.set_nodelay(true);
+                }
                 let Ok(read_half) = stream.try_clone() else { continue };
                 let writer = Arc::new(ConnWriter {
                     stream: Mutex::new(stream),
@@ -686,9 +735,11 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: SweepRequest, mut 
 }
 
 /// The sweeper: pop the oldest job, coalesce everything compatible with
-/// it, run one shared sweep, stream to all subscribers. Exits when the
-/// queue is empty after a shutdown request — a drain, not an abort.
+/// it, serve the group from one shared sweep (or from the response
+/// cache), stream to all subscribers. Exits when the queue is empty after
+/// a shutdown request — a drain, not an abort.
 fn sweeper_loop(shared: &Arc<Shared>) {
+    let mut cache = ResponseCache::new(RESPONSE_CACHE_BYTES);
     loop {
         let group: Vec<Job> = {
             let mut q = shared.queue.lock().expect("queue lock");
@@ -715,7 +766,7 @@ fn sweeper_loop(shared: &Arc<Shared>) {
             }
         };
         shared.in_flight.store(group.len(), Ordering::SeqCst);
-        run_group(shared, group);
+        run_group(shared, &mut cache, group);
         shared.in_flight.store(0, Ordering::SeqCst);
     }
 }
@@ -727,12 +778,19 @@ struct Sub {
     alive: bool,
 }
 
-fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
+fn run_group(shared: &Arc<Shared>, cache: &mut ResponseCache, mut group: Vec<Job>) {
     let coalesced = group.len() > 1;
+    let key = group[0].key.clone();
+    let lookup_started = Instant::now();
+    let stored = if key.compiled { cache.get(&key) } else { None };
+    let lookup_dur = lookup_started.elapsed();
     {
         let picked_up = Instant::now();
         let mut m = shared.metrics.lock().expect("metrics lock");
         m.sweeps += 1;
+        if stored.is_some() {
+            m.response_cache_hits += 1;
+        }
         if coalesced {
             m.coalesced_requests += group.len() as u64 - 1;
         }
@@ -743,9 +801,10 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
             job.span.coalesced = coalesced;
         }
     }
+    let now = shared.deadline_now();
     let mut subs: Vec<Sub> = Vec::with_capacity(group.len());
     for job in group {
-        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        if job.deadline.is_some_and(|d| now >= d) {
             shared.metrics.lock().expect("metrics lock").cancelled_deadline += 1;
             job.writer.send(&error_frame(job.id, 504, "deadline expired before the sweep started"));
             let mut span = job.span;
@@ -758,7 +817,45 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
     if subs.is_empty() {
         return;
     }
-    let key = subs[0].job.key.clone();
+    match stored {
+        Some(resp) => replay(shared, &mut subs, &key, resp, lookup_dur, coalesced),
+        None => sweep(shared, cache, &mut subs, &key, coalesced),
+    }
+}
+
+/// A cache hit: streams the stored batch payloads under each
+/// subscriber's id and seq, with the same deadline checks at every batch
+/// boundary as a sweep, then folds the stored metrics in and writes
+/// `done` frames from the stored tables.
+fn replay(
+    shared: &Shared,
+    subs: &mut [Sub],
+    key: &SweepKey,
+    resp: &StoredResponse,
+    lookup_dur: Duration,
+    coalesced: bool,
+) {
+    let mut exec_dur = lookup_dur;
+    for (first, payload) in &resp.batches {
+        if !stream_batch(shared, subs, *first, payload, exec_dur) {
+            return;
+        }
+        exec_dur = Duration::ZERO;
+    }
+    fold_sweep_metrics(shared, key, &resp.metrics);
+    finish(shared, subs, |id, tables| resp.done_frame(id, coalesced, tables));
+}
+
+/// A miss: sweeps the group's key, streaming each batch as it completes.
+/// A completed compiled sweep stores its encoded response in `cache`
+/// before the `done` frames go out; a cancelled sweep stores nothing.
+fn sweep(
+    shared: &Shared,
+    cache: &mut ResponseCache,
+    subs: &mut [Sub],
+    key: &SweepKey,
+    coalesced: bool,
+) {
     let prepare_started = Instant::now();
     let pop = {
         let mut cache = shared.prepared.lock().expect("prepared lock");
@@ -767,7 +864,7 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
         }))
     };
     let prepare_dur = prepare_started.elapsed();
-    for sub in &mut subs {
+    for sub in subs.iter_mut() {
         sub.job.span.add_phase(PHASE_PREPARE, prepare_dur);
     }
     let threads = subs.iter().filter_map(|s| s.job.threads).max().unwrap_or(shared.cfg.threads);
@@ -776,57 +873,114 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
         max_mesh_cycles: key.max_mesh_cycles,
         net: if key.net_contended { NetKind::Contended } else { NetKind::Ideal },
         fast_forward: key.fast_forward,
-        compiled: key.compiled,
+        // The response cache serves repeats, so on the ideal net the
+        // per-run report memo would only hold a second copy of every
+        // report. On the contended net the memo declines anyway; asking
+        // for it there keeps each report's `WARN_COMPILE_NET_ORDER`
+        // declined bit, which the response must carry.
+        compiled: key.compiled && key.net_contended,
         threads,
         ..EvalConfig::default()
     };
     let records = pop.records();
+    let mut batches = Vec::new();
     let mut exec_mark = Instant::now();
-    let eval = pop.evaluate_batched(&cfg, shared.cfg.batch_records, |first, results| {
-        let exec_dur = exec_mark.elapsed();
+    let Some(eval) = pop.evaluate_batched(&cfg, shared.cfg.batch_records, |first, results| {
         let payload = batch_payload(records, first, results);
-        let mut streamed = 0u64;
-        let mut any_alive = false;
-        for sub in subs.iter_mut().filter(|s| s.alive) {
-            sub.job.span.add_phase(PHASE_EXECUTE, exec_dur);
-            if sub.job.deadline.is_some_and(|d| Instant::now() >= d) {
-                sub.alive = false;
-                shared.metrics.lock().expect("metrics lock").cancelled_deadline += 1;
-                sub.job.writer.send(&error_frame(sub.job.id, 504, "deadline exceeded mid-sweep"));
-                let mut span = sub.job.span;
-                span.outcome = 504;
-                shared.finish_span(&span);
-                continue;
-            }
-            let frame = batch_frame(sub.job.id, sub.seq, first, &payload);
-            let write_started = Instant::now();
-            if sub.job.writer.send(&frame) {
-                sub.job.span.add_phase(PHASE_STREAM, write_started.elapsed());
-                sub.job.span.bytes_streamed += frame.len() as u64;
-                sub.job.span.batches += 1;
-                sub.seq += 1;
-                streamed += 1;
-                any_alive = true;
-            } else {
-                sub.alive = false;
-                shared.metrics.lock().expect("metrics lock").disconnects += 1;
-                let mut span = sub.job.span;
-                span.outcome = OUTCOME_CLIENT_GONE;
-                shared.finish_span(&span);
-            }
-        }
-        shared.metrics.lock().expect("metrics lock").batches_streamed += streamed;
-        exec_mark = Instant::now();
         // No live subscribers left → cancel the sweep at this boundary.
+        let any_alive = stream_batch(shared, subs, first, &payload, exec_mark.elapsed());
+        if key.compiled {
+            batches.push((first, payload));
+        }
+        exec_mark = Instant::now();
         any_alive
-    });
-    let Some(eval) = eval else { return };
+    }) else {
+        return;
+    };
     // Fold the sweep's simulation metrics in (and count it against its
     // key) before the done frames go out, so a client that saw `done`
     // also sees this sweep on the metrics page.
     let sweep_metrics = eval.metrics();
-    shared.registry.lock().expect("registry lock").merge(&sweep_metrics);
-    *shared.sweeps_by_key.lock().expect("sweeps_by_key lock").entry(key).or_insert(0) += 1;
+    fold_sweep_metrics(shared, key, &sweep_metrics);
+    let stored = if key.compiled {
+        let render_started = Instant::now();
+        let resp = StoredResponse::new(batches, &eval, sweep_metrics);
+        let render_dur = render_started.elapsed();
+        for sub in subs.iter_mut().filter(|s| s.alive) {
+            sub.job.span.add_phase(PHASE_EXECUTE, render_dur);
+        }
+        let evicted = cache.insert(key.clone(), resp);
+        let mut m = shared.metrics.lock().expect("metrics lock");
+        m.response_cache_evictions += evicted;
+        m.response_cache_bytes = cache.bytes() as u64;
+        drop(m);
+        // `None` when the response exceeded the cache's whole bound.
+        cache.get(key)
+    } else {
+        None
+    };
+    match stored {
+        Some(resp) => finish(shared, subs, |id, tables| resp.done_frame(id, coalesced, tables)),
+        None => finish(shared, subs, |id, tables| done_frame(id, &eval, coalesced, tables)),
+    }
+}
+
+/// Streams one batch to every live subscriber, first checking each
+/// one's deadline. `exec_dur` is the execute time since the previous
+/// boundary; each subscriber also counts building its frame head as
+/// execute time. Returns whether any subscriber is still alive.
+fn stream_batch(
+    shared: &Shared,
+    subs: &mut [Sub],
+    first: usize,
+    payload: &str,
+    exec_dur: Duration,
+) -> bool {
+    let now = shared.deadline_now();
+    let mut streamed = 0u64;
+    let mut any_alive = false;
+    for sub in subs.iter_mut().filter(|s| s.alive) {
+        if sub.job.deadline.is_some_and(|d| now >= d) {
+            sub.job.span.add_phase(PHASE_EXECUTE, exec_dur);
+            sub.alive = false;
+            shared.metrics.lock().expect("metrics lock").cancelled_deadline += 1;
+            sub.job.writer.send(&error_frame(sub.job.id, 504, "deadline exceeded mid-sweep"));
+            let mut span = sub.job.span;
+            span.outcome = 504;
+            shared.finish_span(&span);
+            continue;
+        }
+        let build_started = Instant::now();
+        let head = batch_frame_head(sub.job.id, sub.seq, first);
+        let write_started = Instant::now();
+        sub.job.span.add_phase(PHASE_EXECUTE, exec_dur + (write_started - build_started));
+        let parts = [head.as_bytes(), payload.as_bytes(), BATCH_FRAME_TAIL.as_bytes()];
+        if sub.job.writer.send_parts(&parts) {
+            sub.job.span.add_phase(PHASE_STREAM, write_started.elapsed());
+            sub.job.span.bytes_streamed +=
+                (head.len() + payload.len() + BATCH_FRAME_TAIL.len()) as u64;
+            sub.job.span.batches += 1;
+            sub.seq += 1;
+            streamed += 1;
+            any_alive = true;
+        } else {
+            sub.alive = false;
+            shared.metrics.lock().expect("metrics lock").disconnects += 1;
+            let mut span = sub.job.span;
+            span.outcome = OUTCOME_CLIENT_GONE;
+            shared.finish_span(&span);
+        }
+    }
+    shared.metrics.lock().expect("metrics lock").batches_streamed += streamed;
+    any_alive
+}
+
+/// What a served group adds to the server-wide state, whether it swept
+/// or replayed: the simulation registry, the per-key sweep counter, and
+/// a flight-recorder entry per gating-decline counter.
+fn fold_sweep_metrics(shared: &Shared, key: &SweepKey, sweep_metrics: &MetricsRegistry) {
+    shared.registry.lock().expect("registry lock").merge(sweep_metrics);
+    *shared.sweeps_by_key.lock().expect("sweeps_by_key lock").entry(key.clone()).or_insert(0) += 1;
     if shared.cfg.observability {
         let at_us = shared.now_us();
         let mut flight = shared.flight.lock().expect("flight lock");
@@ -837,18 +991,28 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
             }
         }
     }
+}
+
+/// Writes each live subscriber's `done` frame, built by
+/// `done(id, tables)` (counted as execute time), and finishes its span.
+fn finish(shared: &Shared, subs: &mut [Sub], done: impl Fn(u64, &[u32]) -> String) {
     let done_at = Instant::now();
     for sub in subs.iter_mut().filter(|s| s.alive) {
-        let frame = done_frame(sub.job.id, &eval, coalesced, &sub.job.tables);
+        let build_started = Instant::now();
+        let frame = done(sub.job.id, &sub.job.tables);
         let write_started = Instant::now();
+        sub.job.span.add_phase(PHASE_EXECUTE, write_started - build_started);
+        // Counted before the frame goes out, so a client that saw `done`
+        // also sees `completed`; a failed write moves it to `disconnects`.
+        shared.metrics.lock().expect("metrics lock").completed += 1;
         let delivered = sub.job.writer.send(&frame);
         sub.job.span.add_phase(PHASE_STREAM, write_started.elapsed());
         {
             let mut m = shared.metrics.lock().expect("metrics lock");
             if delivered {
-                m.completed += 1;
                 m.observe_latency(done_at.duration_since(sub.job.enqueued));
             } else {
+                m.completed -= 1;
                 m.disconnects += 1;
             }
         }

@@ -68,7 +68,7 @@ pub struct RequestSpan {
     pub net_contended: bool,
     /// Sweep key: token-walk fast-forwarding.
     pub fast_forward: bool,
-    /// Sweep key: report-memo execution (`ExecParams::compiled`).
+    /// Sweep key: stored results requested (`SweepRequest::compiled`).
     pub compiled: bool,
 }
 

@@ -3,12 +3,16 @@
 //! once, and the per-phase histograms count exactly the requests that
 //! reached each phase.
 
+mod common;
+
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use common::TestClock;
+use javaflow_core::{EvalConfig, Evaluation};
 use javaflow_server::json::Json;
-use javaflow_server::protocol::{read_frame, write_frame};
+use javaflow_server::protocol::{escaped_table, expected_batch_payloads, read_frame, write_frame};
 use javaflow_server::{Server, ServerConfig};
 
 fn connect(server: &Server) -> TcpStream {
@@ -41,14 +45,31 @@ fn phase_count(server: &Json, phase: &str) -> u64 {
         .unwrap_or_else(|| panic!("phase {phase}"))
 }
 
+/// Polls the metrics frame until `done(server half)` holds: the sweeper
+/// folds a request's span in just after writing its terminal frame.
+fn metrics_once(conn: &mut TcpStream, done: impl Fn(&Json) -> bool) -> Json {
+    for _ in 0..200 {
+        send(conn, "{\"kind\": \"metrics\", \"id\": 10}");
+        let metrics = Json::parse(&recv(conn)).expect("metrics json");
+        if done(metrics.get("server").expect("server block")) {
+            return metrics;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("the metrics never settled");
+}
+
 #[test]
 fn every_outcome_increments_its_counter_exactly_once() {
     // queue_cap 1 so a single queued job saturates admission; one record
-    // per batch so the long sweep streams steadily while we race it.
+    // per batch, and a held deadline clock keeps the long sweep parked at
+    // its second batch boundary until the test lets it go.
+    let clock = TestClock::held();
     let server = Server::start(ServerConfig {
         queue_cap: 1,
         batch_records: 1,
         threads: 1,
+        deadline_clock: clock.hook(),
         ..ServerConfig::default()
     })
     .expect("start");
@@ -66,18 +87,21 @@ fn every_outcome_increments_its_counter_exactly_once() {
         "{\"kind\": \"sweep\", \"id\": 1, \"synthetic\": 32, \"max_mesh_cycles\": 150000}",
     );
     assert!(recv(&mut conn1).starts_with("{\"type\": \"accepted\""));
+    clock.grant(2, Instant::now());
     assert!(recv(&mut conn1).starts_with("{\"type\": \"batch\""));
 
-    // S2 queues behind S1 with an already-hopeless deadline → 504 when
-    // the sweeper eventually picks it up.
+    // S2 queues behind S1 with a 1 ms deadline, and the clock reads past
+    // it from here on → 504 when the sweeper eventually picks it up.
     let mut conn2 = connect(&server);
     send(&mut conn2, "{\"kind\": \"sweep\", \"id\": 2, \"synthetic\": 4, \"deadline_ms\": 1}");
     assert!(recv(&mut conn2).starts_with("{\"type\": \"accepted\""));
+    let s2_admitted = Instant::now();
 
     // S3 finds the queue full → 429.
     let mut conn3 = connect(&server);
     send(&mut conn3, "{\"kind\": \"sweep\", \"id\": 3, \"synthetic\": 4}");
     assert!(recv(&mut conn3).contains("\"code\": 429"), "queue of 1 must be full");
+    clock.run_at(s2_admitted + Duration::from_millis(1));
 
     // Drain S1 to done (200), then S2's pre-start 504.
     loop {
@@ -123,6 +147,10 @@ fn every_outcome_increments_its_counter_exactly_once() {
     assert_eq!(counter(server_half, "rejected_drain"), 1, "S4 only");
     assert_eq!(counter(server_half, "bad_requests"), 1);
     assert_eq!(counter(server_half, "disconnects"), 0);
+    assert_eq!(counter(server_half, "sweeps"), 2, "S1 and S2's group");
+    assert_eq!(counter(server_half, "response_cache_hits"), 0, "no compiled sweeps");
+    assert_eq!(counter(server_half, "response_cache_evictions"), 0);
+    assert_eq!(counter(server_half, "response_cache_bytes"), 0);
 
     // Phase histograms: `read` and `parse` count every finished span;
     // `queue` the two admitted jobs; `prepare`/`execute`/`stream` only
@@ -157,6 +185,46 @@ fn oversized_frames_finish_a_413_span() {
     // The payload never arrived, so no phase was measured for the 413 —
     // the read histogram must not be polluted with a synthetic zero.
     assert_eq!(phase_count(server_half, "read"), 0);
+
+    server.request_shutdown();
+    server.join().expect("join");
+}
+
+#[test]
+fn response_cache_counters_are_exact() {
+    let server =
+        Server::start(ServerConfig { batch_records: 2, threads: 2, ..ServerConfig::default() })
+            .expect("start");
+    let mut conn = connect(&server);
+    // One compiled key three times: a sweep, then two hits.
+    for id in 1..=3 {
+        send(
+            &mut conn,
+            &format!(
+                "{{\"kind\": \"sweep\", \"id\": {id}, \"synthetic\": 4, \"compiled\": true, \"tables\": [22]}}"
+            ),
+        );
+        while !recv(&mut conn).starts_with("{\"type\": \"done\"") {}
+    }
+    let metrics = metrics_once(&mut conn, |s| phase_count(s, "stream") == 3);
+    let server_half = metrics.get("server").expect("server block");
+
+    // The cache holds the batch payloads and all thirty escaped tables.
+    let eval = Evaluation::run(&EvalConfig { synthetic_count: 4, ..EvalConfig::default() });
+    let stored: usize =
+        expected_batch_payloads(&eval, 2).iter().map(|(_, p)| p.len()).sum::<usize>()
+            + (1..=30).map(|t| escaped_table(&eval, t).len()).sum::<usize>();
+    assert_eq!(counter(server_half, "sweeps"), 3);
+    assert_eq!(counter(server_half, "response_cache_hits"), 2);
+    assert_eq!(counter(server_half, "response_cache_evictions"), 0);
+    assert_eq!(counter(server_half, "response_cache_bytes"), stored as u64);
+    assert_eq!(counter(server_half, "completed"), 3);
+    // A hit skips preparation but still executes (lookup, frame build)
+    // and streams.
+    assert_eq!(phase_count(server_half, "queue"), 3);
+    assert_eq!(phase_count(server_half, "prepare"), 1);
+    assert_eq!(phase_count(server_half, "execute"), 3);
+    assert_eq!(phase_count(server_half, "stream"), 3);
 
     server.request_shutdown();
     server.join().expect("join");

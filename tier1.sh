@@ -8,10 +8,11 @@ cargo test -q
 
 # Member suites whose assertions hold on any host (no wall-clock
 # conditions): the goldens, the naive/fast-forward/memo differential, the
-# zero-allocation checks, the trace-replay tests, and the sweep scheduler
-# and service tests. Debug and release.
-cargo test -q -p javaflow-fabric -p javaflow-analysis -p javaflow-bench -p javaflow-core
-cargo test -q --release -p javaflow-fabric -p javaflow-analysis -p javaflow-bench -p javaflow-core
+# zero-allocation checks, the trace-replay tests, the sweep scheduler
+# and service tests, and the server suite (its deadline and coalescing
+# tests drive the server's deadline clock). Debug and release.
+cargo test -q -p javaflow-fabric -p javaflow-analysis -p javaflow-bench -p javaflow-core -p javaflow-server
+cargo test -q --release -p javaflow-fabric -p javaflow-analysis -p javaflow-bench -p javaflow-core -p javaflow-server
 
 cargo run --release -p javaflow-bench --bin tables -- --synthetic 50 --table 22
 
